@@ -34,9 +34,11 @@ package server
 import (
 	"bytes"
 	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -474,10 +476,16 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sessionSolveRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, "parse request: "+err.Error())
 		return
 	}
+	// Read the body to EOF: the server watches the connection for a client
+	// disconnect, which cancels r.Context() and with it the step's search,
+	// only once the request body is consumed. A read error leaves nothing
+	// to do; the request is already decoded.
+	_, _ = io.Copy(io.Discard, body)
 	if req.Pop < 0 || req.Push < 0 {
 		writeError(w, http.StatusBadRequest, "pop and push must be non-negative")
 		return
@@ -523,36 +531,45 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		assumptions[i] = cnf.Lit(l)
 	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	defer cancel()
+	// The response is written only after the step has released the session
+	// lock: a client that has read its answer may send the next step at
+	// once, and must not find the session still held by this one's write.
+	code, resp := s.sessionStep(ctx, sess, req.Pop, req.Push, add, assumptions, start)
+	writeJSON(w, code, resp)
+}
 
+// sessionStep runs one validated step — pop, push, add, solve under the
+// assumptions within ctx — holding the session lock, and returns the
+// status code and body to write once the lock is released.
+func (s *Server) sessionStep(ctx context.Context, sess *session, pop, push int,
+	add []cnf.Clause, assumptions []cnf.Lit, start time.Time) (int, any) {
 	if !sess.mu.TryLock() {
-		writeError(w, http.StatusConflict, "session is busy with another solve")
-		return
+		return http.StatusConflict, errorResponse{Error: "session is busy with another solve"}
 	}
 	defer sess.mu.Unlock()
 	if !s.sessions.Alive(sess) {
 		// Removed (reaper, LRU eviction, or delete) between Get and the
 		// lock; the solver may already be parked or serving a new session.
-		writeError(w, http.StatusNotFound, "unknown session id")
-		return
+		return http.StatusNotFound, errorResponse{Error: "unknown session id"}
 	}
-	if req.Pop > sess.slv.FrameDepth() {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("pop %d with %d open frames", req.Pop, sess.slv.FrameDepth()))
-		return
+	if pop > sess.slv.FrameDepth() {
+		return http.StatusBadRequest, errorResponse{
+			Error: fmt.Sprintf("pop %d with %d open frames", pop, sess.slv.FrameDepth())}
 	}
 
-	for i := 0; i < req.Pop; i++ {
+	for i := 0; i < pop; i++ {
 		sess.slv.Pop()
 	}
-	for i := 0; i < req.Push; i++ {
+	for i := 0; i < push; i++ {
 		sess.slv.Push()
 	}
 	for _, c := range add {
 		if err := sess.slv.AddClause(c); err != nil {
 			// Unreachable after the up-front checks; fail loudly if the
 			// solver grows a new rejection path.
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
+			return http.StatusInternalServerError, errorResponse{Error: err.Error()}
 		}
 	}
 	if len(add) > 0 && sess.slv.FrameDepth() == 0 {
@@ -560,11 +577,10 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 
 	solveStart := time.Now()
-	sess.slv.SetDeadline(solveStart.Add(timeout))
-	st, core := sess.slv.SolveUnderAssumptions(assumptions)
+	sess.slv.SetDeadline(time.Time{}) // ctx carries the deadline; this resets the budget latch
+	st, core := sess.slv.SolveUnderAssumptionsContext(ctx, assumptions)
 	solveNS := time.Since(solveStart).Nanoseconds()
 	stop := sess.slv.BudgetExhausted()
-	sess.slv.SetDeadline(time.Time{}) // also clears the budget latch
 	sess.solves++
 	s.m.sessionSec("incremental").Observe(float64(solveNS) / 1e9)
 	s.m.solves(sess.policy, st.String()).Inc()
@@ -595,7 +611,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		s.m.sessionEv("memcap").Inc()
 		s.sessions.Remove(sess.id)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return http.StatusOK, resp
 }
 
 // handleSessionInfo is GET /v1/sessions/{id}.
@@ -612,26 +628,29 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown session id")
 		return
 	}
-	if !sess.mu.TryLock() {
-		writeError(w, http.StatusConflict, "session is busy with another solve")
-		return
-	}
-	defer sess.mu.Unlock()
-	if !s.sessions.Alive(sess) {
-		// Removed between the lookup and the lock (see handleSessionSolve).
-		writeError(w, http.StatusNotFound, "unknown session id")
-		return
-	}
-	writeJSON(w, http.StatusOK, sessionView{
-		ID:             sess.id,
-		Policy:         sess.policy,
-		Solves:         sess.solves,
-		FrameDepth:     sess.slv.FrameDepth(),
-		UserVars:       sess.slv.UserVars(),
-		AddedClauses:   sess.slv.Stats().AddedClauses,
-		FootprintBytes: sess.slv.Footprint(),
-		IdleMS:         idle.Milliseconds(),
-	})
+	// As for a step, the view is built under the session lock and written
+	// after its release.
+	code, view := func() (int, any) {
+		if !sess.mu.TryLock() {
+			return http.StatusConflict, errorResponse{Error: "session is busy with another solve"}
+		}
+		defer sess.mu.Unlock()
+		if !s.sessions.Alive(sess) {
+			// Removed between the lookup and the lock (see sessionStep).
+			return http.StatusNotFound, errorResponse{Error: "unknown session id"}
+		}
+		return http.StatusOK, sessionView{
+			ID:             sess.id,
+			Policy:         sess.policy,
+			Solves:         sess.solves,
+			FrameDepth:     sess.slv.FrameDepth(),
+			UserVars:       sess.slv.UserVars(),
+			AddedClauses:   sess.slv.Stats().AddedClauses,
+			FootprintBytes: sess.slv.Footprint(),
+			IdleMS:         idle.Milliseconds(),
+		}
+	}()
+	writeJSON(w, code, view)
 }
 
 // handleSessionDelete is DELETE /v1/sessions/{id}: close the session,

@@ -7,10 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"neuroselect/internal/cnf"
+	"neuroselect/internal/gen"
+	"neuroselect/internal/solver"
 )
 
 // chainCNF is an implication chain 1→2→3→4 with nothing else: under
@@ -504,4 +510,222 @@ func TestSessionChurnRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// blockedWriter is a ResponseWriter whose first body Write announces itself
+// and then blocks until released: a response the client has not finished
+// receiving, as when the connection's buffers are full.
+type blockedWriter struct {
+	*httptest.ResponseRecorder
+	writing chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (b *blockedWriter) Write(p []byte) (int, error) {
+	b.once.Do(func() { close(b.writing) })
+	<-b.release
+	return b.ResponseRecorder.Write(p)
+}
+
+// TestSessionStepNoSpurious409 pins the session lock to the step itself: a
+// client that has its answer may send the next step at once, so the lock
+// must be released before the response is written. A step whose response is
+// still being written must not make the next step see 409, and back-to-back
+// steps from a client that decodes one JSON value and closes the body
+// without draining it never see 409 either.
+func TestSessionStepNoSpurious409(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	// No clauses over many variables: every step is SAT at once with a
+	// large model, so the response write dominates the step.
+	cr := createSession(t, ts.URL, "p cnf 20000 0\n", "")
+	url := ts.URL + "/v1/sessions/" + cr.ID + "/solve"
+
+	t.Run("response-in-flight", func(t *testing.T) {
+		bw := &blockedWriter{ResponseRecorder: httptest.NewRecorder(),
+			writing: make(chan struct{}), release: make(chan struct{})}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(`{"assumptions":[1]}`))
+			s.Handler().ServeHTTP(bw, req)
+		}()
+		<-bw.writing
+		_, code := sessionSolve(t, ts.URL, cr.ID, sessionSolveRequest{Assumptions: []int{-1}})
+		close(bw.release)
+		<-done
+		if code != http.StatusOK {
+			t.Fatalf("step while the previous response is still being written: status %d, want 200", code)
+		}
+		if bw.Code != http.StatusOK {
+			t.Fatalf("blocked step: status %d, want 200", bw.Code)
+		}
+	})
+
+	t.Run("undrained-client", func(t *testing.T) {
+		for i := 0; i < 100; i++ {
+			resp, err := http.Post(url, "application/json", strings.NewReader(`{"assumptions":[2]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sr sessionSolveResponse
+			code := resp.StatusCode
+			if code == http.StatusOK {
+				err = json.NewDecoder(resp.Body).Decode(&sr)
+			}
+			resp.Body.Close()
+			if code != http.StatusOK || err != nil {
+				t.Fatalf("back-to-back step %d: status %d (%v), want 200", i, code, err)
+			}
+		}
+	})
+}
+
+// guardedPHPDIMACS renders php-holes with every clause weakened by ¬g,
+// g = the next free variable: satisfiable on its own, and the hard UNSAT
+// pigeonhole instance under the assumption g.
+func guardedPHPDIMACS(t *testing.T, holes int) (string, *cnf.Formula, int) {
+	t.Helper()
+	php := gen.Pigeonhole(holes).F
+	g := php.NumVars + 1
+	f := cnf.New(g)
+	for _, c := range php.Clauses {
+		f.MustAddClause(append(append(cnf.Clause{}, c...), -cnf.Lit(g))...)
+	}
+	var buf bytes.Buffer
+	if err := cnf.WriteDIMACS(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), f, g
+}
+
+// TestSessionStepStopsWhenClientLeaves sends a step that would search for
+// minutes (php-10 under its guard) and cancels its request mid-solve, once
+// through the handler's request context and once by a real client
+// disconnecting. The step must stop within a bounded time with the
+// canceled stop cause, and the session must answer its next steps
+// correctly (checked against cold solves) with no 409.
+func TestSessionStepStopsWhenClientLeaves(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	body, f, g := guardedPHPDIMACS(t, 10)
+	cr := createSession(t, ts.URL, body, "")
+	url := ts.URL + "/v1/sessions/" + cr.ID + "/solve"
+	hard := fmt.Sprintf(`{"assumptions":[%d],"timeout":"60s"}`, g)
+
+	// waitBusy polls the session view until a step holds the session.
+	waitBusy := func() {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			resp, err := http.Get(ts.URL + "/v1/sessions/" + cr.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusConflict {
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		t.Fatal("the hard step never started")
+	}
+	// checkNext runs quick steps on the session and compares them with
+	// cold solves of the same formula under the same assumptions.
+	checkNext := func(label string) {
+		t.Helper()
+		for _, a := range [][]int{{g, 1, 11}, {-g}} { // pigeons 1 and 2 both in hole 1
+			sr, code := sessionSolve(t, ts.URL, cr.ID, sessionSolveRequest{Assumptions: a})
+			if code != http.StatusOK {
+				t.Fatalf("%s: step %v: status %d, want 200", label, a, code)
+			}
+			ref := f.Clone()
+			for _, l := range a {
+				ref.MustAddClause(cnf.Lit(l))
+			}
+			cold, err := solver.Solve(ref, solver.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sr.Status != cold.Status.String() {
+				t.Fatalf("%s: step %v answered %s, cold solve %v", label, a, sr.Status, cold.Status)
+			}
+			if sr.Status == "SAT" {
+				m := cnf.NewAssignment(f.NumVars)
+				for _, l := range sr.Model {
+					if l > 0 {
+						m[l] = true
+					}
+				}
+				if !m.Satisfies(ref) {
+					t.Fatalf("%s: step %v model violates the formula or its assumptions", label, a)
+				}
+			}
+			for _, l := range sr.Core {
+				if !slices.Contains(a, l) {
+					t.Fatalf("%s: core %v not within the assumptions %v", label, sr.Core, a)
+				}
+			}
+		}
+	}
+
+	t.Run("request-context", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			req := httptest.NewRequest(http.MethodPost, url, strings.NewReader(hard)).WithContext(ctx)
+			s.Handler().ServeHTTP(rec, req)
+		}()
+		waitBusy()
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("step kept running 5s after its request context was canceled")
+		}
+		var sr sessionSolveResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("canceled step: status %d, body %q (%v)", rec.Code, rec.Body.String(), err)
+		}
+		if sr.Status != "UNKNOWN" || sr.Stop != "canceled" {
+			t.Fatalf("canceled step answered %s (stop %q), want UNKNOWN (stop \"canceled\")", sr.Status, sr.Stop)
+		}
+		checkNext("after cancel")
+	})
+
+	t.Run("client-disconnect", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url, strings.NewReader(hard))
+			resp, err := http.DefaultClient.Do(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			errc <- err
+		}()
+		waitBusy()
+		cancel()
+		if err := <-errc; err == nil {
+			t.Fatal("the hard step answered before the client left")
+		}
+		// The session frees up long before the step's 60s timeout.
+		start := time.Now()
+		for {
+			resp, err := http.Get(ts.URL + "/v1/sessions/" + cr.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				break
+			}
+			if time.Since(start) > 5*time.Second {
+				t.Fatalf("session still busy 5s after its client left (status %d)", resp.StatusCode)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		checkNext("after disconnect")
+	})
 }

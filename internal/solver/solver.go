@@ -609,6 +609,25 @@ func (s *Solver) Solve() Status { return s.SolveContext(context.Background()) }
 // ErrDeadline) reported by BudgetExhausted. Cancellation latency is
 // bounded by Options.InterruptEvery propagations.
 func (s *Solver) SolveContext(ctx context.Context) Status {
+	if len(s.frames) > 0 {
+		// Clauses under open frames are guarded by activation literals that
+		// only an assumption prefix asserts; without it the search would
+		// treat them as satisfiable via their free guards and could answer
+		// Sat with a model violating frame clauses.
+		st, _ := s.SolveUnderAssumptionsContext(ctx, nil)
+		return st
+	}
+	st, _ := s.solve(ctx, nil, 0)
+	return st
+}
+
+// solve is the one restart driver behind every solve entry point. prefix
+// is the internal assumption prefix (empty for a plain solve). The Luby
+// cursor is the restart count since origin: plain solves pass 0, so the
+// cursor is the cumulative Stats.Restarts and a solve resumed via
+// ExtendBudget continues the schedule instead of rewinding it; assumption
+// solves pass the count at their own start.
+func (s *Solver) solve(ctx context.Context, prefix []lit, origin int64) (Status, []cnf.Lit) {
 	s.ctx = ctx
 	defer func() { s.ctx = nil }()
 	t := s.opts.Tracer
@@ -626,53 +645,41 @@ func (s *Solver) SolveContext(ctx context.Context) Status {
 		}
 		t.Trace(ev)
 	}
-	var st Status
-	if len(s.frames) > 0 {
-		// Clauses under open frames are guarded by activation literals that
-		// only the assumption path asserts; the plain loop would treat them
-		// as satisfiable via their free guards and could answer Sat with a
-		// model violating frame clauses.
-		st, _ = s.SolveUnderAssumptions(nil)
-	} else {
-		st = s.solveLoop()
-	}
+	st, core := s.restartLoop(prefix, origin)
 	if t != nil {
 		ev := s.traceEvent(obs.EventSolveEnd)
 		ev.Status = st.String()
 		t.Trace(ev)
 	}
-	return st
+	return st, core
 }
 
-// solveLoop is the restart-driving search loop behind SolveContext.
-func (s *Solver) solveLoop() Status {
+// restartLoop runs search cycles under the Luby schedule until one decides
+// the formula or a budget stops it.
+func (s *Solver) restartLoop(prefix []lit, origin int64) (Status, []cnf.Lit) {
 	if !s.ok {
-		return Unsat
+		return Unsat, nil
 	}
 	if conflict := s.propagate(); conflict != crefUndef {
 		s.ok = false
-		return Unsat
+		return Unsat, nil
 	}
 	if s.budget != nil {
-		return Unknown
+		return Unknown, nil
 	}
 	for {
-		// Restart boundary: the trail is at level zero, so foreign clauses
-		// can be bulk-installed before the next search cycle.
-		if s.opts.Import != nil && !s.importShared() {
-			return Unsat
+		if s.opts.Import != nil {
+			// Foreign clauses are installed at level zero; a restart that
+			// kept the assumption prefix gives it up here.
+			s.cancelUntil(0)
+			if !s.importShared() {
+				return Unsat, nil
+			}
 		}
-		// The Luby cursor is the cumulative restart counter, so a solve
-		// resumed via ExtendBudget continues the schedule instead of
-		// rewinding it. (Fresh solves are unchanged: both counters used to
-		// start at zero and advance together.)
-		limit := luby(2, s.stats.Restarts) * s.opts.RestartBase
-		st := s.search(limit)
-		if st != Unknown {
-			return st
-		}
-		if s.budget != nil {
-			return Unknown
+		limit := luby(2, s.stats.Restarts-origin) * s.opts.RestartBase
+		st, core := s.search(limit, prefix)
+		if st != Unknown || s.budget != nil {
+			return st, core
 		}
 		s.stats.Restarts++
 		if t := s.opts.Tracer; t != nil {
@@ -768,22 +775,29 @@ func (s *Solver) checkStop() error {
 	return nil
 }
 
-// search runs until a result, a restart limit, or a budget boundary.
-func (s *Solver) search(conflictLimit int64) Status {
+// search runs until a result, a restart limit, or a budget boundary. The
+// first len(prefix) decision levels belong to the assumption prefix: each
+// holds one assumption (or nothing, when it is already true or free), a
+// conflict inside them refutes the assumptions and returns their failed
+// subset as the core, and a restart keeps them.
+func (s *Solver) search(conflictLimit int64, prefix []lit) (Status, []cnf.Lit) {
 	conflictsHere := int64(0)
 	for {
 		conflict := s.propagate()
 		if s.budget != nil {
 			// A stride poll inside BCP raised a stop cause.
 			s.cancelUntil(0)
-			return Unknown
+			return Unknown, nil
 		}
 		if conflict != crefUndef {
 			s.stats.Conflicts++
 			conflictsHere++
 			if s.decisionLevel() == 0 {
 				s.ok = false
-				return Unsat
+				return Unsat, nil
+			}
+			if s.decisionLevel() <= len(prefix) {
+				return Unsat, s.analyzeFinal(conflict, prefix)
 			}
 			learnt, backLvl, glue := s.analyze(conflict)
 			s.cancelUntil(backLvl)
@@ -799,12 +813,12 @@ func (s *Solver) search(conflictLimit int64) Status {
 			if s.opts.MaxConflicts > 0 && s.stats.Conflicts >= s.opts.MaxConflicts {
 				s.budget = ErrConflictBudget
 				s.cancelUntil(0)
-				return Unknown
+				return Unknown, nil
 			}
 			if err := s.checkStop(); err != nil {
 				s.budget = err
 				s.cancelUntil(0)
-				return Unknown
+				return Unknown, nil
 			}
 			if s.stats.Conflicts >= s.reduceLimit {
 				s.reduce()
@@ -814,17 +828,42 @@ func (s *Solver) search(conflictLimit int64) Status {
 		if s.opts.MaxPropagations > 0 && s.stats.Propagations >= s.opts.MaxPropagations {
 			s.budget = ErrPropagationBudget
 			s.cancelUntil(0)
-			return Unknown
+			return Unknown, nil
 		}
 		if conflictsHere >= conflictLimit {
-			s.cancelUntil(0)
-			return Unknown // restart
+			// Restart. The prefix's enqueues and the propagation they
+			// trigger are identical every time, so cancelling to its
+			// boundary instead of level zero saves re-propagating it.
+			if s.opts.disableAssumptionPrefixKeep {
+				s.cancelUntil(0)
+			} else {
+				s.cancelUntil(len(prefix))
+			}
+			return Unknown, nil
 		}
-		// Decision.
+		// Decision: the next pending assumption, else a free variable.
+		if lvl := s.decisionLevel(); lvl < len(prefix) {
+			a := prefix[lvl]
+			switch {
+			case a == litUndef || s.value(a) == lTrue:
+				// Already satisfied (or a free variable): open an empty
+				// level so level indexing stays aligned with the prefix.
+				s.trailLim = append(s.trailLim, len(s.trail))
+			case s.value(a) == lFalse:
+				// Contradicted by propagation from earlier assumptions:
+				// the core is the reason chain of ¬a.
+				return Unsat, s.coreOfFalsified(a, prefix)
+			default:
+				s.stats.Decisions++
+				s.trailLim = append(s.trailLim, len(s.trail))
+				s.enqueue(a, crefUndef)
+			}
+			continue
+		}
 		v := s.pickBranchVar()
 		if v < 0 {
 			s.extractModel()
-			return Sat
+			return Sat, nil
 		}
 		s.stats.Decisions++
 		s.trailLim = append(s.trailLim, len(s.trail))

@@ -3,6 +3,7 @@ package solver
 import (
 	"testing"
 
+	"neuroselect/internal/cnf"
 	"neuroselect/internal/gen"
 	"neuroselect/internal/obs"
 )
@@ -11,6 +12,49 @@ import (
 type recordingTracer struct{ events []obs.Event }
 
 func (r *recordingTracer) Trace(ev *obs.Event) { r.events = append(r.events, *ev) }
+
+// guardedPigeonholes conjoins php-6 and php-7 over disjoint variables with
+// every clause of php-n weakened by ¬g_n. The formula is satisfiable, and
+// assuming a guard turns it into that pigeonhole instance: a hard UNSAT
+// assumption solve (restarts, reductions, windows) with core {g_n}.
+func guardedPigeonholes() (*cnf.Formula, []cnf.Lit) {
+	f := cnf.New(0)
+	var guards []cnf.Lit
+	for _, holes := range []int{6, 7} {
+		php := gen.Pigeonhole(holes)
+		off := cnf.Lit(f.NumVars)
+		g := off + cnf.Lit(php.F.NumVars) + 1
+		for _, c := range php.F.Clauses {
+			shifted := make([]cnf.Lit, 0, len(c)+1)
+			for _, l := range c {
+				if l < 0 {
+					shifted = append(shifted, l-off)
+				} else {
+					shifted = append(shifted, l+off)
+				}
+			}
+			f.MustAddClause(append(shifted, -g)...)
+		}
+		f.NumVars = int(g)
+		guards = append(guards, g)
+	}
+	return f, guards
+}
+
+// solveGuarded runs one assumption solve per guard, checking each answers
+// UNSAT with the guard as its core, and returns the stats after each call.
+func solveGuarded(t *testing.T, s *Solver, guards []cnf.Lit) []Stats {
+	t.Helper()
+	var after []Stats
+	for _, g := range guards {
+		st, core := s.SolveUnderAssumptions([]cnf.Lit{g})
+		if st != Unsat || len(core) != 1 || core[0] != g {
+			t.Fatalf("assuming guard %d: %v with core %v, want UNSAT with core [%d]", g, st, core, g)
+		}
+		after = append(after, s.Stats())
+	}
+	return after
+}
 
 // TestTracerSearchNeutral solves the golden suite with and without a tracer
 // installed and demands identical status, stats, and per-variable
@@ -41,6 +85,33 @@ func TestTracerSearchNeutral(t *testing.T) {
 			if pf[v] != tf[v] {
 				t.Fatalf("%s: propFreq[%d] = %d (plain) vs %d (traced)", in.Name, v, pf[v], tf[v])
 			}
+		}
+	}
+
+	// The assumption route runs the same loop and must be just as neutral.
+	f, guards := guardedPigeonholes()
+	plain, err := New(f, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracedOpts := goldenOptions(nil)
+	tracedOpts.Tracer = &recordingTracer{}
+	tracedOpts.TraceWindow = 64
+	traced, err := New(f, tracedOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stPlain, stTraced := solveGuarded(t, plain, guards), solveGuarded(t, traced, guards)
+	for i := range stPlain {
+		if stPlain[i] != stTraced[i] {
+			t.Fatalf("assumption call %d: stats diverge under tracing\nplain:  %+v\ntraced: %+v",
+				i, stPlain[i], stTraced[i])
+		}
+	}
+	pf, tf := plain.PropagationFrequencies(), traced.PropagationFrequencies()
+	for v := range pf {
+		if pf[v] != tf[v] {
+			t.Fatalf("assumption route: propFreq[%d] = %d (plain) vs %d (traced)", v, pf[v], tf[v])
 		}
 	}
 }
@@ -153,6 +224,30 @@ func TestProgressSink(t *testing.T) {
 	if p.TimeNS <= 0 {
 		t.Errorf("t_ns %d, want > 0", p.TimeNS)
 	}
+
+	// A sink-only assumption solve publishes snapshots too, and stays
+	// bit-identical to one without a sink.
+	f, guards := guardedPigeonholes()
+	plainAssume, err := New(f, goldenOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var assumeSink ProgressSink
+	opts.Progress = &assumeSink
+	sinkAssume, err := New(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := solveGuarded(t, plainAssume, guards[:1]), solveGuarded(t, sinkAssume, guards[:1]); a[0] != b[0] {
+		t.Fatalf("assumption stats diverge with a progress sink\nplain: %+v\nsink:  %+v", a[0], b[0])
+	}
+	p, ok = assumeSink.Load()
+	if !ok {
+		t.Fatal("no progress snapshot published by an assumption solve")
+	}
+	if st := sinkAssume.Stats(); p.Conflicts < opts.TraceWindow || p.Conflicts > st.Conflicts {
+		t.Errorf("assumption snapshot conflicts %d outside [%d, %d]", p.Conflicts, opts.TraceWindow, st.Conflicts)
+	}
 }
 
 // TestTraceEventStream checks the event stream against the final stats on a
@@ -238,6 +333,56 @@ func TestTraceEventStream(t *testing.T) {
 		last.Deleted != st.Deleted || last.GCCompactions != st.GCCompactions ||
 		last.GCLitsReclaimed != st.GCLitsReclaimed || last.GCBytesMoved != st.GCBytesMoved {
 		t.Errorf("solve_end counters %+v do not match final stats %+v", last, st)
+	}
+
+	// Assumption solves stream through the same loop: each call is
+	// bracketed by solve_start/solve_end, carries one restart event per
+	// restart it ran (the second call starts with nonzero cumulative
+	// restarts), and emits window rollups.
+	f, guards := guardedPigeonholes()
+	rec = &recordingTracer{}
+	opts.Tracer = rec
+	s, err = New(f, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := solveGuarded(t, s, guards)
+	var calls [][]obs.Event // the stream split at solve_start
+	for _, ev := range rec.events {
+		if ev.Type == obs.EventSolveStart {
+			calls = append(calls, nil)
+		} else if len(calls) == 0 {
+			t.Fatalf("%q event before any solve_start", ev.Type)
+		}
+		calls[len(calls)-1] = append(calls[len(calls)-1], ev)
+	}
+	if len(calls) != len(guards) {
+		t.Fatalf("%d solve_start events for %d assumption solves", len(calls), len(guards))
+	}
+	var prevRestarts int64
+	for i, evs := range calls {
+		end := evs[len(evs)-1]
+		if end.Type != obs.EventSolveEnd || end.Status != Unsat.String() {
+			t.Fatalf("assumption call %d ends with %q/%q, want solve_end/UNSAT", i, end.Type, end.Status)
+		}
+		if end.Conflicts != after[i].Conflicts || end.Restarts != after[i].Restarts {
+			t.Errorf("assumption call %d: solve_end counters %+v do not match stats %+v", i, end, after[i])
+		}
+		n := map[string]int64{}
+		for _, ev := range evs {
+			n[ev.Type]++
+		}
+		delta := after[i].Restarts - prevRestarts
+		prevRestarts = after[i].Restarts
+		if delta == 0 {
+			t.Fatalf("assumption call %d ran no restarts; the check is vacuous", i)
+		}
+		if n[obs.EventRestart] != delta {
+			t.Errorf("assumption call %d: %d restart events, Stats.Restarts delta %d", i, n[obs.EventRestart], delta)
+		}
+		if n[obs.EventWindow] == 0 {
+			t.Errorf("assumption call %d: no window rollups", i)
+		}
 	}
 }
 

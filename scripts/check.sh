@@ -339,7 +339,7 @@ if [ "$rc" != 0 ]; then
 fi
 echo "serve smoke: concurrent solves, cache hit, 429 shedding, SIGTERM drain all ok"
 
-echo "== incremental-session smoke (warm steps match cold solves, idle TTL expiry)"
+echo "== incremental-session smoke (warm steps match cold solves, idle TTL expiry, live cancellation)"
 # An implication chain 1->2->3->4: under the assumptions below every
 # variable is forced, so a warm incremental step and a cold solve of the
 # equivalent formula (added clauses + assumptions as root units) must
@@ -420,6 +420,42 @@ if [ "$code" != 404 ]; then
 	echo "session smoke: FAIL — solve on an expired session returned $code, want 404"
 	exit 1
 fi
+# Live cancellation: a client that abandons a long step (curl gives up
+# after 1s on a 30s-bounded php-12 search) must stop that search, so the
+# session answers its next step at once instead of 409 until the timeout.
+# The next step assumes pigeons 1 and 2 both in hole 1 (variables 1 and
+# 13): UNSAT by propagation.
+sid="$(curl -s --data-binary @"$SMOKE_DIR/php12.cnf" "http://$api/v1/sessions" |
+	sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+if [ -z "$sid" ]; then
+	echo "session smoke: FAIL — php-12 session create returned no id"
+	exit 1
+fi
+rc=0
+curl -s --max-time 1 -o /dev/null -d '{"timeout":"30s"}' \
+	"http://$api/v1/sessions/$sid/solve" || rc=$?
+if [ "$rc" != 28 ]; then
+	echo "session smoke: FAIL — the long step did not run past curl's 1s limit (curl exit $rc)"
+	exit 1
+fi
+abandoned=$(date +%s)
+code=""
+i=0
+while [ "$code" != 200 ] && [ "$i" -lt 50 ]; do
+	code="$(curl -s -o "$SMOKE_DIR/after_abandon.json" -w '%{http_code}' \
+		-d '{"assumptions":[1,13]}' "http://$api/v1/sessions/$sid/solve")"
+	[ "$code" = 200 ] || sleep 0.1
+	i=$((i + 1))
+done
+waited=$(($(date +%s) - abandoned))
+if [ "$code" != 200 ] || ! grep -q '"status":"UNSAT"' "$SMOKE_DIR/after_abandon.json"; then
+	echo "session smoke: FAIL — step after an abandoned one: status $code, body $(cat "$SMOKE_DIR/after_abandon.json")"
+	exit 1
+fi
+if [ "$waited" -gt 5 ]; then
+	echo "session smoke: FAIL — next step answered ${waited}s after the client left; the abandoned search kept running"
+	exit 1
+fi
 kill -TERM "$SERVE_PID"
 rc=0
 wait "$SERVE_PID" || rc=$?
@@ -428,7 +464,7 @@ if [ "$rc" != 0 ]; then
 	echo "session smoke: FAIL — server exited $rc after drain"
 	exit 1
 fi
-echo "session smoke: 3 warm steps matched cold solves, idle session expired"
+echo "session smoke: 3 warm steps matched cold solves, idle session expired, abandoned step canceled"
 
 echo "== SSE telemetry smoke (live event stream, done==poll, access log)"
 # A hard 6s-bounded job streamed over GET /v1/jobs/{id}/events: window
