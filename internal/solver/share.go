@@ -24,7 +24,7 @@ type SharedClause struct {
 // budgets and clears the budget-exhausted latch, so a solver that returned
 // Unknown on a budget can be resumed with another SolveContext call. The
 // search picks up where it stopped: the clause database, activities, saved
-// phases, and the Luby restart cursor all carry over. Budgets are absolute
+// phases, and (with no frames open) the Luby restart cursor all carry over. Budgets are absolute
 // (compared against cumulative Stats counters), not increments.
 func (s *Solver) ExtendBudget(maxConflicts, maxPropagations int64) {
 	s.opts.MaxConflicts = maxConflicts
